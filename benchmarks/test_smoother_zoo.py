@@ -9,22 +9,19 @@ spend the budget* (important for the irregular/jump problems Rüde's work
 targets; on the uniform Poisson problem they simply have to not lose).
 """
 
-import pytest
+import numpy as np
 
 from repro.analysis.tables import format_table
+from repro.matrices.poisson import poisson_2d
 from repro.multigrid import (
     ChebyshevSmoother,
     DistributedSouthwellSmoother,
     GaussSeidelSmoother,
+    MultigridExecutor,
     ParallelSouthwellSmoother,
     RedBlackGaussSeidelSmoother,
     WeightedJacobiSmoother,
-    vcycle_experiment_run,
 )
-
-# vcycle_experiment_run is deprecated (one cycle) in favour of
-# solve(method="mg"); the zoo pins the legacy path until removal
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 SMOOTHERS = (
     ("GS", lambda: GaussSeidelSmoother(1)),
@@ -36,11 +33,22 @@ SMOOTHERS = (
 )
 
 
+def fig6_rel(dim, smoother, n_cycles=9, seed=0):
+    """Figure 6 protocol for one grid size: ``n_cycles`` V-cycles on
+    the 1/h²-scaled Laplacian from ``x0 = 0``, seeded RHS uniform in
+    ``[-1, 1]``; returns ``‖r_N‖/‖r_0‖``."""
+    h = 1.0 / (dim + 1)
+    A = poisson_2d(dim).scale(1.0 / h ** 2)
+    b = np.random.default_rng(seed).uniform(-1.0, 1.0, dim * dim)
+    hist = MultigridExecutor(A, smoother).run(b, n_cycles=n_cycles)
+    return hist.final_norm / hist.initial_norm
+
+
 def test_smoother_zoo(benchmark, scale):
     dim = max(scale.grid_dims)
 
     def run():
-        return {name: vcycle_experiment_run(dim, factory, seed=0)
+        return {name: fig6_rel(dim, factory())
                 for name, factory in SMOOTHERS}
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -386,9 +386,10 @@ def solve(A: CSRMatrix, b: np.ndarray | None = None,
           config: RunConfig | None = None, **overrides) -> SolveResult:
     """Run one distributed method end to end (the package front door).
 
-    ``b`` defaults to zero with a random ``x0`` scaled so ``‖r⁰‖₂ = 1``
-    (the paper's Section 4.2 setup).  ``method`` may be a name
-    (``'block-jacobi'``, ``'parallel-southwell'``,
+    With neither ``b`` nor ``x0`` given, ``b`` is zero and ``x0``
+    random, scaled so ``‖r⁰‖₂ = 1`` (the paper's Section 4.2 setup);
+    with only one given, the other defaults to zeros.  ``method`` may be
+    a name (``'block-jacobi'``, ``'parallel-southwell'``,
     ``'distributed-southwell'``, ``'mg'``) or an already-built method
     instance (whose system is then reused).  Keyword ``overrides`` are
     :class:`RunConfig` fields applied on top of ``config``::
@@ -483,12 +484,16 @@ def _solve_with_config(method: str | BlockMethodBase, A: CSRMatrix,
                                       seed=cfg.seed, tracer=tracer,
                                       faults=plan)
             name = method
-        if x0 is None or b is None:
+        if x0 is None and b is None:
             rng = np.random.default_rng(cfg.seed)
             x0 = rng.uniform(-1.0, 1.0, A.n_rows)
             b = np.zeros(A.n_rows)
             r0 = b - A.matvec(x0)
             x0 = x0 / np.linalg.norm(r0)
+        elif x0 is None:
+            x0 = np.zeros(A.n_rows)
+        elif b is None:
+            b = np.zeros(A.n_rows)
         executor = None
         if runtime_mode() == "async":
             acfg = cfg.async_config or AsyncConfig()

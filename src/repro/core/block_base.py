@@ -171,6 +171,9 @@ class BlockMethodBase:
         self.x_blocks = [x0[sysm.rows_slice(p)].copy() for p in range(P)]
         self.r_blocks = sysm.initial_residual(x0, b)
         self.norms = np.array([np.linalg.norm(r) for r in self.r_blocks])
+        #: async Block Jacobi: whether a delivery (or the initial state)
+        #: has changed the rank's residual since its last relaxation
+        self._async_fresh = np.ones(P, dtype=bool)
         self.total_relaxations = 0
         self.steps_taken = 0
         self.history = ConvergenceHistory()
@@ -591,12 +594,17 @@ class BlockMethodBase:
     # into per-rank hooks.  The executor owns the generic work (deliver
     # solve payload deltas, refresh the norm, charge compute); these
     # hooks supply the method-specific protocol.  Base implementations
-    # are Block Jacobi's (relax whenever the local residual is nonzero,
+    # are Block Jacobi's (relax once per change of the local residual,
     # headerless solve messages, no repair traffic).
     # ------------------------------------------------------------------
     def _async_decide(self, p: int) -> bool:
-        """Whether ``p`` relaxes on its async turn."""
-        return float(self.norms[p]) > 0.0
+        """Whether ``p`` relaxes on its async turn.
+
+        Block Jacobi relaxes when a delivery has changed its residual
+        since its last relaxation.  Re-relaxing its own round-off
+        instead would restamp every outgoing slot each turn, and a slot
+        restamped faster than the latency is never delivered."""
+        return bool(self._async_fresh[p]) and float(self.norms[p]) > 0.0
 
     def _async_decide_batch(self, ranks: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`_async_decide` over a rank subset.
@@ -608,7 +616,7 @@ class BlockMethodBase:
         to the scalar hook for subclasses that only overrode that.
         """
         if type(self)._async_decide is BlockMethodBase._async_decide:
-            return self.norms[ranks] > 0.0
+            return self._async_fresh[ranks] & (self.norms[ranks] > 0.0)
         return np.fromiter((self._async_decide(int(p)) for p in ranks),
                            dtype=bool, count=ranks.size)
 
@@ -634,6 +642,7 @@ class BlockMethodBase:
         kept = aplane.send(p, sids, 0.0, 0.0,
                            int(self._solve_nbytes_arr[p]), CATEGORY_SOLVE)
         self._async_capture_vals(aplane, kept)
+        self._async_fresh[p] = False
 
     def _async_capture_vals(self, aplane, sids: np.ndarray) -> None:
         """Snapshot the ``vals`` regions of freshly stamped solve slots
@@ -662,6 +671,7 @@ class BlockMethodBase:
         """Method-specific handling of freshly delivered slots (header
         scatters, ghost overwrites); the executor has already applied the
         solve payload deltas to ``r_p``."""
+        self._async_fresh[p] = True
 
     def _async_on_deliver_batch(self, ranks: np.ndarray,
                                 sids: np.ndarray, counts: np.ndarray,
@@ -671,6 +681,7 @@ class BlockMethodBase:
         ``counts`` per member.  Receiver slab/ghost segments are
         rank-local, so overrides may scatter all members at once as
         long as each member's internal write order is preserved."""
+        self._async_fresh[ranks] = True
 
     def _async_repair(self, p: int, aplane, turn: int) -> int:
         """Method-specific repair traffic; returns messages sent."""

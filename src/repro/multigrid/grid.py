@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.matrices.poisson import poisson_2d
 from repro.sparsela import CSRMatrix
 
-__all__ = ["GridLevel", "build_hierarchy", "build_operator_hierarchy",
-           "fine_dim_of", "valid_grid_dims"]
+__all__ = ["GridLevel", "build_operator_hierarchy", "fine_dim_of",
+           "valid_grid_dims"]
 
 
 @dataclass(frozen=True)
@@ -68,27 +70,21 @@ def fine_dim_of(n_unknowns: int) -> int:
     return d
 
 
-def build_hierarchy(fine_dim: int, coarsest_dim: int = 3) -> list[GridLevel]:
-    """All levels from ``fine_dim`` down to ``coarsest_dim`` (finest first).
+def _scaled_laplacian(d: int) -> CSRMatrix:
+    """The 5-point Laplacian on a ``d × d`` grid scaled by ``1/h²``,
+    ``h = 1/(d+1)`` — dimensionally consistent with full-weighting
+    restriction and bilinear prolongation."""
+    h = 1.0 / (d + 1)
+    return poisson_2d(d).scale(1.0 / h ** 2)
 
-    Each level rediscretizes the Laplacian (geometric multigrid), scaled
-    by ``1/h²`` so the hierarchy is dimensionally consistent with
-    full-weighting restriction and bilinear prolongation.
-    """
-    if coarsest_dim < 3:
-        raise ValueError("coarsest grid must be at least 3x3")
-    levels = []
-    d = fine_dim
-    while True:
-        h = 1.0 / (d + 1)
-        levels.append(GridLevel(n=d, matrix=poisson_2d(d).scale(1.0 / h**2)))
-        if d <= coarsest_dim:
-            break
-        d = coarse_dim(d)
-    if levels[-1].n != coarsest_dim:
-        raise ValueError(
-            f"fine dim {fine_dim} does not coarsen to {coarsest_dim}")
-    return levels
+
+def _is_scaled_laplacian(A: CSRMatrix, d: int) -> bool:
+    """Whether ``A`` is :func:`_scaled_laplacian` ``(d)``: the same
+    stored structure, values equal to 1e-12 relative."""
+    L = _scaled_laplacian(d)
+    return (np.array_equal(A.indptr, L.indptr)
+            and np.array_equal(A.indices, L.indices)
+            and np.allclose(A.data, L.data, rtol=1e-12, atol=0.0))
 
 
 def build_operator_hierarchy(A: CSRMatrix, coarsest_dim: int = 3,
@@ -99,13 +95,14 @@ def build_operator_hierarchy(A: CSRMatrix, coarsest_dim: int = 3,
     """Level structure for an arbitrary fine operator ``A`` (finest first).
 
     ``hierarchy="geometric"`` keeps ``A`` at the fine level and
-    rediscretizes the Laplacian below it — exactly the hierarchy
-    :func:`build_hierarchy` builds (``A`` must then *be* the scaled
-    5-point Laplacian for the correction to be consistent, which is the
-    Figure 6 setting).  ``hierarchy="galerkin"`` forms each coarse
-    operator variationally, ``A_c = R A_f P``, and — with ``drop_tol``
-    positive — passes it through :func:`~repro.multigrid.transfer.sparsify`
-    to drop weak couplings (arXiv 1512.04629).
+    rediscretizes the ``1/h²``-scaled 5-point Laplacian below it.  The
+    coarse corrections are only consistent when ``A`` *is* that scaled
+    Laplacian (the Figure 6 setting), so any other ``A`` raises a
+    ``ValueError`` naming the Galerkin hierarchy.  ``hierarchy=
+    "galerkin"`` forms each coarse operator variationally,
+    ``A_c = R A_f P``, and — with ``drop_tol`` positive — passes it
+    through :func:`~repro.multigrid.transfer.sparsify` to drop weak
+    couplings (arXiv 1512.04629).
 
     ``n_levels`` truncates the hierarchy (``None`` = coarsen all the way
     to ``coarsest_dim``); the last level is always solved exactly, so a
@@ -121,8 +118,15 @@ def build_operator_hierarchy(A: CSRMatrix, coarsest_dim: int = 3,
             "drop_tol sparsification applies to Galerkin coarse "
             "operators; pass hierarchy='galerkin'")
     fine_dim = fine_dim_of(A.n_rows)
+    if coarsest_dim < 3:
+        raise ValueError("coarsest grid must be at least 3x3")
     if n_levels is not None and n_levels < 2:
         raise ValueError("a multigrid hierarchy needs at least 2 levels")
+    if hierarchy == "geometric" and not _is_scaled_laplacian(A, fine_dim):
+        raise ValueError(
+            "hierarchy='geometric' rediscretizes the coarse levels as the "
+            "1/h²-scaled 5-point Laplacian, which A is not; pass "
+            "hierarchy='galerkin' to form the coarse operators from A")
     levels = [GridLevel(n=fine_dim, matrix=A)]
     dropped = [0]
     from repro.multigrid.transfer import (
@@ -142,8 +146,7 @@ def build_operator_hierarchy(A: CSRMatrix, coarsest_dim: int = 3,
                    .matmat(prolongation_matrix(n_c)).prune(1e-14))
             A_c, n_drop = sparsify(A_c, drop_tol)
         else:
-            h_c = 1.0 / (n_c + 1)
-            A_c = poisson_2d(n_c).scale(1.0 / h_c ** 2)
+            A_c = _scaled_laplacian(n_c)
             n_drop = 0
         levels.append(GridLevel(n=n_c, matrix=A_c))
         dropped.append(n_drop)

@@ -15,10 +15,11 @@ message the smoothing steps send:
 - merged injected-fault totals when the smoother runs under a
   :class:`~repro.faults.FaultPlan`.
 
-The cycle arithmetic is exactly
-:meth:`repro.multigrid.vcycle.MultigridSolver._cycle` with ``gamma=1``,
-so a scalar-smoothed executor run is bit-identical to the deprecated
-solver's V-cycles.
+The cycle arithmetic is the seed geometric V-cycle's, bit for bit: 5
+Gauss-Seidel-smoothed cycles on the 15² Figure 6 problem reproduce the
+sha256 of ``x`` and the residual norms pinned from the seed driver
+before it was removed (``PINNED_MG_GS_X_SHA256`` in
+``tests/test_multigrid_block.py``).
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ class MultigridExecutor:
         self.x: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    # cycle arithmetic (bit-identical to MultigridSolver._cycle, gamma=1)
+    # cycle arithmetic (held to the pinned V-cycle digest)
     # ------------------------------------------------------------------
     def _cycle(self, lvl: int, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         trc = self.tracer

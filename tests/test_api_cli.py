@@ -8,6 +8,7 @@ from repro.api import solve
 from repro.cli import main
 from repro.core import DistributedSouthwell
 from repro.core.blockdata import build_block_system
+from repro.matrices.poisson import poisson_2d
 from repro.partition import partition
 from repro.sparsela import write_matrix_market
 
@@ -29,6 +30,29 @@ def test_default_initial_state_norm_one(fem_300):
     res = solve(fem_300, method="block-jacobi", n_parts=4, max_steps=0,
                 seed=1)
     assert np.isclose(res.history.initial_norm, 1.0, atol=1e-12)
+
+
+def test_solve_keeps_caller_b_when_x0_omitted():
+    """A caller's ``b`` is solved for, from ``x0 = 0``; it used to be
+    swapped for the random zero-RHS setup whenever ``x0`` was omitted."""
+    A = poisson_2d(16)
+    b = np.ones(A.n_rows)
+    res = solve(A, b=b, n_parts=4, max_steps=200)
+    assert res.history.initial_norm == pytest.approx(np.linalg.norm(b))
+    true = np.linalg.norm(b - A.matvec(res.x))
+    assert res.final_norm == pytest.approx(true, rel=1e-9)
+    assert true < 0.5 * np.linalg.norm(b)
+
+
+def test_solve_keeps_caller_x0_when_b_omitted(fem_300):
+    """A caller's ``x0`` is the start, with ``b = 0``; it used to be
+    swapped for the random setup whenever ``b`` was omitted."""
+    x0 = np.linspace(-1.0, 1.0, fem_300.n_rows)
+    res = solve(fem_300, x0=x0, method="block-jacobi", n_parts=4,
+                max_steps=0)
+    assert np.array_equal(res.x, x0)
+    assert res.history.initial_norm == pytest.approx(
+        np.linalg.norm(fem_300.matvec(x0)))
 
 
 def test_run_with_prebuilt_method(fem_300):

@@ -1,91 +1,130 @@
-"""Tests for the discrete-event asynchronous engine and async DS."""
+"""Tests for the event-driven async plane and async Distributed Southwell.
+
+The plane tests drive :class:`~repro.runtime.asyncplane.AsyncFlatPlane`
+directly on a hand-built edge topology; the method tests drive
+:class:`~repro.core.DistributedSouthwell` through
+:class:`~repro.core.async_exec.AsyncExecutor` (``solve(runtime="async")``'s
+engine).
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import AsyncDistributedSouthwell, DistributedSouthwell
+from repro.core import DistributedSouthwell
+from repro.core.async_exec import AsyncExecutor
 from repro.core.blockdata import build_block_system
 from repro.partition import partition
-from repro.runtime import CATEGORY_SOLVE, CostModel
-from repro.runtime.async_engine import AsyncEngine
+from repro.runtime import (
+    CATEGORY_SOLVE,
+    AsyncFlatPlane,
+    CostModel,
+    FlatEdgePlane,
+    MessageStats,
+)
 
 
-# ------------------------------------------------------------- engine
+def make_plane(n_procs, edges, cost_model, latency=0.0, speed=None):
+    """An async plane over directed ``edges`` (one value per message)."""
+    stats = MessageStats(n_procs)
+    flat = FlatEdgePlane(n_procs, stats, [(s, d, 1, 0) for s, d in edges])
+    return AsyncFlatPlane(flat, stats, cost_model=cost_model,
+                          latency=latency, speed_factors=speed)
+
+
+def send(aplane, src, dst, kind=0, norm=0.0):
+    """Send one message on edge ``(src, dst)``'s ``kind`` slot."""
+    sid = 2 * aplane.plane.edge_index[(src, dst)] + kind
+    return aplane.send(src, np.array([sid]), norm, 0.0, 8, CATEGORY_SOLVE)
+
+
+# ------------------------------------------------------------- plane
 def test_clocks_advance_with_compute_and_sends():
     cm = CostModel(alpha=1.0, alpha_recv=0.5, beta=0.0, gamma=2.0)
-    eng = AsyncEngine(2, cost_model=cm, network_latency=10.0)
-    eng.charge_compute(0, 3.0)
-    assert eng.clocks[0] == 6.0
-    eng.put(0, 1, CATEGORY_SOLVE, {"x": 1.0})
-    assert eng.clocks[0] == 7.0
+    ap = make_plane(2, [(0, 1)], cm, latency=10.0)
+    ap.advance_compute(0, 3.0)
+    assert ap.clocks[0] == 6.0
+    send(ap, 0, 1)
+    assert ap.clocks[0] == 7.0
     # not delivered yet: receiver clock is 0 < 7 + 10
-    assert eng.read(1) == []
-    eng.charge_idle(1, 17.0)
-    msgs = eng.read(1)
-    assert len(msgs) == 1
-    assert eng.clocks[1] == 17.5          # + alpha_recv
+    assert ap.deliver(1) == []
+    ap.advance_idle(1, 17.0)
+    assert len(ap.deliver(1)) == 1
+    assert ap.clocks[1] == 17.5          # + alpha_recv
+    assert ap.stats.total_messages == ap.stats.total_receives == 1
 
 
 def test_message_visibility_respects_latency():
-    eng = AsyncEngine(2, network_latency=100.0,
-                      cost_model=CostModel(alpha=0.0, alpha_recv=0.0,
-                                           beta=0.0, gamma=0.0))
-    eng.put(0, 1, CATEGORY_SOLVE, {})
-    eng.charge_idle(1, 99.9)
-    assert eng.read(1) == []
-    eng.charge_idle(1, 0.2)
-    assert len(eng.read(1)) == 1
+    ap = make_plane(2, [(0, 1)],
+                    CostModel(alpha=0.0, alpha_recv=0.0, beta=0.0,
+                              gamma=0.0), latency=100.0)
+    send(ap, 0, 1)
+    ap.advance_idle(1, 99.9)
+    assert ap.deliver(1) == []
+    ap.advance_idle(1, 0.2)
+    assert len(ap.deliver(1)) == 1
+    assert ap.in_flight == 0
 
 
 def test_scheduler_picks_smallest_clock():
-    eng = AsyncEngine(3)
-    p0 = eng.next_process()
-    eng.charge_idle(p0, 1.0)
-    eng.reschedule(p0)
-    p1 = eng.next_process()
+    ap = make_plane(3, [(0, 1)], CostModel())
+    p0 = ap.next_process()
+    ap.advance_idle(p0, 1.0)
+    ap.reschedule(p0)
+    p1 = ap.next_process()
     assert p1 != p0
-    eng.charge_idle(p1, 2.0)
-    eng.reschedule(p1)
-    p2 = eng.next_process()
+    ap.advance_idle(p1, 2.0)
+    ap.reschedule(p1)
+    p2 = ap.next_process()
     assert p2 not in (p0, p1)
-    eng.charge_idle(p2, 3.0)
-    eng.reschedule(p2)
-    assert eng.next_process() == p0       # smallest clock again
+    ap.advance_idle(p2, 3.0)
+    ap.reschedule(p2)
+    assert ap.next_process() == p0       # smallest clock again
 
 
 def test_speed_factors_scale_compute_only():
     cm = CostModel(alpha=1.0, alpha_recv=0.0, beta=0.0, gamma=1.0)
-    eng = AsyncEngine(2, cost_model=cm, speed_factors=np.array([1.0, 0.5]))
-    eng.charge_compute(0, 4.0)
-    eng.charge_compute(1, 4.0)
-    assert eng.clocks[0] == 4.0
-    assert eng.clocks[1] == 8.0           # half speed
-    eng.put(1, 0, CATEGORY_SOLVE, {})
-    assert eng.clocks[1] == 9.0           # wire time not scaled
+    ap = make_plane(2, [(1, 0)], cm, speed=np.array([1.0, 0.5]))
+    ap.advance_compute(0, 4.0)
+    ap.advance_compute(1, 4.0)
+    assert ap.clocks[0] == 4.0
+    assert ap.clocks[1] == 8.0           # half speed
+    send(ap, 1, 0)
+    assert ap.clocks[1] == 9.0           # wire time not scaled
 
 
 def test_engine_validation():
+    cm = CostModel()
     with pytest.raises(ValueError):
-        AsyncEngine(0)
+        make_plane(0, [], cm)
     with pytest.raises(ValueError):
-        AsyncEngine(2, network_latency=-1.0)
+        make_plane(2, [(0, 1)], cm, latency=-1.0)
     with pytest.raises(ValueError):
-        AsyncEngine(2, speed_factors=np.array([1.0, 0.0]))
-    eng = AsyncEngine(2)
+        make_plane(2, [(0, 1)], cm, speed=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        eng.put(0, 0, CATEGORY_SOLVE, {})
+        make_plane(2, [(0, 1)], cm, speed=np.array([1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
-        eng.charge_idle(0, -1.0)
+        make_plane(2, [(0, 0)], cm)       # a process does not message itself
+    ap = make_plane(2, [(0, 1)], cm)
+    ap.advance_idle(0, -1.0)              # an idle wait never runs backwards
+    assert ap.clocks[0] == 0.0 and ap.idle[0] == 0.0
 
 
 def test_fifo_per_sender_preserved():
-    eng = AsyncEngine(2, cost_model=CostModel(alpha=1.0, alpha_recv=0.0,
-                                              beta=0.0, gamma=0.0))
-    for k in range(4):
-        eng.put(0, 1, CATEGORY_SOLVE, {"k": float(k)})
-    eng.charge_idle(1, 100.0)
-    ks = [m.payload["k"] for m in eng.read(1)]
-    assert ks == [0.0, 1.0, 2.0, 3.0]
+    """One sender's surviving messages arrive in the order they were
+    sent; a newer put to a still-in-flight slot supersedes the older
+    one (RMA overwrite), so the receiver never reads a stale payload
+    after a fresh one."""
+    ap = make_plane(2, [(0, 1)], CostModel(alpha=1.0, alpha_recv=0.0,
+                                           beta=0.0, gamma=0.0))
+    send(ap, 0, 1, kind=0, norm=1.0)      # stamped 1
+    send(ap, 0, 1, kind=1, norm=2.0)      # stamped 2
+    send(ap, 0, 1, kind=0, norm=3.0)      # stamped 3, overwrites the first
+    assert ap.in_flight == 2
+    ap.advance_idle(1, 100.0)
+    sids = ap.deliver(1)
+    assert [s & 1 for s in sids] == [1, 0]        # stamp order
+    assert [ap.wire_norm[s] for s in sids] == [2.0, 3.0]
+    assert ap.deliver(1) == []
 
 
 # ------------------------------------------------------------ async DS
@@ -100,31 +139,38 @@ def async_setup(fem_300):
     return system, x0, b
 
 
+def run_async(system, x0, b, *, speed_factors=None, **run_kw):
+    """Event-driven DS; returns (runner, executor, history)."""
+    ds = DistributedSouthwell(system)
+    ex = AsyncExecutor(ds, speed_factors=speed_factors, record_every=64)
+    hist = ex.run(x0, b, **run_kw)
+    return ds, ex, hist
+
+
 def test_async_ds_converges(async_setup):
     system, x0, b = async_setup
-    ads = AsyncDistributedSouthwell(system)
-    hist = ads.run(x0, b, max_turns=10_000, target_norm=0.02,
-                   record_every=64)
+    _, _, hist = run_async(system, x0, b, max_turns=10_000,
+                           target_norm=0.02, stop_at_target=True)
     assert hist.final_norm <= 0.02
 
 
 def test_async_ds_residual_exact_after_drain(async_setup, fem_300):
+    """The run ends by draining every in-flight message, after which
+    the incrementally maintained residual is the true ``b − Ax``."""
     system, x0, b = async_setup
-    ads = AsyncDistributedSouthwell(system)
-    ads.run(x0, b, max_turns=3_000)
-    ads.drain()
-    r_true = b - fem_300.matvec(ads.solution())
-    assert np.allclose(ads.residual_vector(), r_true, atol=1e-11)
+    ds, ex, _ = run_async(system, x0, b, max_turns=3_000)
+    assert ex.aplane.in_flight == 0
+    r_true = b - fem_300.matvec(ds.solution())
+    assert np.allclose(ds.residual_vector(), r_true, atol=1e-11)
 
 
 def test_async_ds_time_comparable_to_lockstep(async_setup):
     """Same algorithm, two execution models: time-to-target should land
     in the same ballpark (within 3x either way)."""
     system, x0, b = async_setup
-    ads = AsyncDistributedSouthwell(system)
-    ha = ads.run(x0, b, max_turns=50_000, target_norm=0.05,
-                 record_every=64)
-    t_async = ads.engine.elapsed
+    _, ex, ha = run_async(system, x0, b, max_turns=50_000,
+                          target_norm=0.05, stop_at_target=True)
+    t_async = ex.aplane.elapsed
     ds = DistributedSouthwell(system)
     ds.run(x0, b, max_steps=200, target_norm=0.05, stop_at_target=True)
     t_sync = ds.engine.stats.elapsed_time()
@@ -140,23 +186,27 @@ def test_async_absorbs_straggler(async_setup):
     P = system.n_parts
     slow = np.ones(P)
     slow[2] = 0.25
-
-    uniform = AsyncDistributedSouthwell(system)
-    uniform.run(x0, b, max_turns=50_000, target_norm=0.05, record_every=64)
-    straggled = AsyncDistributedSouthwell(system, speed_factors=slow)
-    h = straggled.run(x0, b, max_turns=50_000, target_norm=0.05,
-                      record_every=64)
+    _, uniform, _ = run_async(system, x0, b, max_turns=50_000,
+                              target_norm=0.05, stop_at_target=True)
+    _, straggled, h = run_async(system, x0, b, speed_factors=slow,
+                                max_turns=50_000, target_norm=0.05,
+                                stop_at_target=True)
     assert h.final_norm <= 0.05
-    assert straggled.engine.elapsed < 2.0 * uniform.engine.elapsed
+    assert straggled.aplane.elapsed < 2.0 * uniform.aplane.elapsed
 
 
 def test_async_ds_validation(async_setup):
     system, x0, b = async_setup
     with pytest.raises(ValueError):
-        AsyncDistributedSouthwell(system, poll_interval=0.0)
-    ads = AsyncDistributedSouthwell(system)
+        AsyncExecutor(DistributedSouthwell(system), poll_interval=0.0)
     with pytest.raises(ValueError):
-        ads.run(x0, b)
+        AsyncExecutor(DistributedSouthwell(system), record_every=0)
+    ex = AsyncExecutor(DistributedSouthwell(system))
+    with pytest.raises(ValueError):
+        ex.run()                          # no x0/b and no prepare()
+    with pytest.raises(ValueError):
+        AsyncExecutor(DistributedSouthwell(system),
+                      speed_factors=np.ones(system.n_parts + 1)).run(x0, b)
 
 
 def test_lockstep_straggler_support(async_setup):

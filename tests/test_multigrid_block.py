@@ -2,6 +2,7 @@
 ``solve()`` front door, per-level message accounting, and AMG
 sparsification (DESIGN.md §5.16)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -12,11 +13,11 @@ from repro.matrices.poisson import poisson_2d
 from repro.multigrid import (
     GaussSeidelSmoother,
     MultigridExecutor,
-    MultigridSolver,
+    build_operator_hierarchy,
     make_smoother,
     sparsify,
-    vcycle_experiment_run,
 )
+from repro.sparsela import CSRMatrix
 from repro.trace import RunTracer
 
 
@@ -54,27 +55,79 @@ def test_block_ds_grid_independent_convergence(n_parts):
     assert rels[1] < 10 * rels[0] + 1e-8
 
 
+# The deprecated geometric V-cycle driver, pinned before its removal:
+# 5 GS(1)/GS(1) V-cycles on the 15² Figure 6 problem (fig6_rhs(15),
+# x0 = 0).  sha256 of the final x, and the residual norm after each cycle
+# as exact float hex.
+PINNED_MG_GS_X_SHA256 = ("f7fd94f6915be1fb20b1302b1a94a938"
+                         "0321c7daccddbf49f0dd0b471a6c8eaa")
+PINNED_MG_GS_NORMS = ("0x1.24d8c409aed91p+3", "0x1.ce15771edd950p-1",
+                      "0x1.c40694cd42706p-4", "0x1.f36f1b88ca874p-7",
+                      "0x1.33d8b799c2a3bp-9", "0x1.829d52ac4b3d4p-12")
+
+
 def test_scalar_smoothed_executor_bit_identical_to_deprecated_solver():
-    """The executor's V-cycle arithmetic is the deprecated solver's."""
+    """The executor's V-cycle arithmetic reproduces the deprecated
+    solver's V-cycles bit for bit (its pinned digest and norms)."""
     dim = 15
-    b = fig6_rhs(dim)
-    sm = GaussSeidelSmoother(1)
-    mg = MultigridExecutor(scaled_laplacian(dim), sm)
-    new = mg.run(b, n_cycles=5)
-    with pytest.warns(DeprecationWarning):
-        old_solver = MultigridSolver(dim, GaussSeidelSmoother(1),
-                                     GaussSeidelSmoother(1))
-    old = old_solver.solve(b, n_cycles=5)
-    assert new.residual_norms == old.residual_norms
-    assert np.array_equal(mg.x, old_solver.x)
+    mg = MultigridExecutor(scaled_laplacian(dim), GaussSeidelSmoother(1))
+    hist = mg.run(fig6_rhs(dim), n_cycles=5)
+    digest = hashlib.sha256(np.ascontiguousarray(mg.x).tobytes())
+    assert digest.hexdigest() == PINNED_MG_GS_X_SHA256
+    assert tuple(float(v).hex() for v in hist.residual_norms) \
+        == PINNED_MG_GS_NORMS
 
 
-def test_deprecated_entry_points_warn_once_each():
-    with pytest.warns(DeprecationWarning, match="MultigridSolver"):
-        MultigridSolver(7, GaussSeidelSmoother(1), GaussSeidelSmoother(1))
-    with pytest.warns(DeprecationWarning, match="vcycle_experiment_run"):
-        vcycle_experiment_run(7, lambda: GaussSeidelSmoother(1),
-                              n_cycles=1)
+# ------------------------------------------------- geometric hierarchy gate
+def test_geometric_hierarchy_accepts_the_scaled_laplacian():
+    """The exact 1/h²-scaled operator passes, and so does one within
+    1e-12 relative of it; the coarse levels are the scaled Laplacians."""
+    A = scaled_laplacian(15)
+    levels, _ = build_operator_hierarchy(A)
+    assert [lvl.n for lvl in levels] == [15, 7, 3]
+    for lvl in levels[1:]:
+        ref = scaled_laplacian(lvl.n)
+        assert np.array_equal(lvl.matrix.data, ref.data)
+    nudged = A.scale(1.0 + 1e-13)
+    assert build_operator_hierarchy(nudged)[0][0].matrix is nudged
+
+
+def _heavier_first_row(dim):
+    """The scaled Laplacian with its first diagonal entry doubled: the
+    same structure, different values."""
+    A = scaled_laplacian(dim)
+    data = A.data.copy()
+    data[0] *= 2.0
+    return CSRMatrix(A.indptr, A.indices, data, A.shape)
+
+
+@pytest.mark.parametrize("make_operator", [
+    lambda: poisson_2d(15),
+    lambda: scaled_laplacian(15).scale(1.0 + 1e-9),
+    lambda: _heavier_first_row(15),
+], ids=["unscaled", "perturbed", "other-values"])
+def test_geometric_hierarchy_rejects_other_operators(make_operator):
+    """Rediscretized coarse levels only correct the scaled Laplacian;
+    anything else raises, naming the Galerkin hierarchy, which accepts
+    the same operator."""
+    A = make_operator()
+    with pytest.raises(ValueError, match="hierarchy='galerkin'"):
+        build_operator_hierarchy(A, hierarchy="geometric")
+    levels, _ = build_operator_hierarchy(A, hierarchy="galerkin")
+    assert len(levels) == 3
+
+
+def test_solve_mg_unscaled_poisson_needs_galerkin():
+    """The unscaled 5-point operator used to converge at 0.73 per cycle
+    on silently mismatched coarse levels; now it is refused, and the
+    Galerkin hierarchy solves it."""
+    A = poisson_2d(15)
+    with pytest.raises(ValueError, match="hierarchy='galerkin'"):
+        solve(A, method="mg", n_parts=4)
+    res = solve(A, method="mg",
+                config=RunConfig(n_parts=4, mg=MultigridConfig(
+                    hierarchy="galerkin")))
+    assert res.final_norm / res.history.initial_norm < 1e-6
 
 
 # ------------------------------------------------- equal relaxation budget

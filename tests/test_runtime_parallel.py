@@ -264,23 +264,3 @@ def test_private_arena_copies():
     assert np.array_equal(out, src) and out is not src
     z = PRIVATE_ARENA.take(4, np.int64)
     assert z.shape == (4,) and not z.any()
-
-
-# ----------------------------------------------------------------------
-# optional mpi4py transport: import gating
-# ----------------------------------------------------------------------
-def test_mpiplane_imports_without_mpi4py():
-    from repro.runtime import mpiplane
-    assert isinstance(mpiplane.mpi_available(), bool)
-    if mpiplane.mpi_available():
-        pytest.skip("mpi4py present: constructor gating not reachable")
-    with pytest.raises(RuntimeError, match="mpi4py"):
-        mpiplane.MpiEdgePlane([0], [4])
-
-
-def test_mpiplane_validates_shapes():
-    from repro.runtime import mpiplane
-    if not mpiplane.mpi_available():
-        pytest.skip("needs mpi4py")
-    with pytest.raises(ValueError):
-        mpiplane.MpiEdgePlane([0, 1], [4], comm=None)

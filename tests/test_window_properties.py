@@ -5,15 +5,33 @@ Delivery guarantees the solvers rely on, checked over random traffic:
 - lockstep: every put is delivered exactly once, after exactly one epoch
   close (no delays), in per-sender FIFO order;
 - with delays: still exactly once, still per-sender FIFO, eventually;
-- async: exactly once, per-sender FIFO, never before its stamp.
+- async slab plane: every slot's latest put is delivered exactly once,
+  never before its stamp, in stamp order per receiver; the scheduler
+  hands out clocks in non-decreasing order.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import CATEGORY_SOLVE, CostModel, WindowSystem
-from repro.runtime.async_engine import AsyncEngine
+from repro.runtime import (
+    CATEGORY_SOLVE,
+    AsyncFlatPlane,
+    CostModel,
+    FlatEdgePlane,
+    MessageStats,
+    WindowSystem,
+)
+
+
+def async_plane(n_procs, latency=0.0, cost_model=None):
+    """An async plane over the complete directed graph on ``n_procs``."""
+    stats = MessageStats(n_procs)
+    edges = [(s, d, 1, 0) for s in range(n_procs) for d in range(n_procs)
+             if s != d]
+    return AsyncFlatPlane(FlatEdgePlane(n_procs, stats, edges), stats,
+                          cost_model=cost_model or CostModel(),
+                          latency=latency)
 
 
 def traffic(n_procs=4, max_msgs=40):
@@ -71,40 +89,40 @@ def test_delayed_delivery_exactly_once(pairs, prob, seed):
 @settings(max_examples=30, deadline=None)
 def test_async_delivery_respects_stamps(pairs, latency):
     cm = CostModel(alpha=1.0, alpha_recv=0.0, beta=0.0, gamma=0.0)
-    eng = AsyncEngine(4, cost_model=cm, network_latency=latency)
+    ap = async_plane(4, latency=latency, cost_model=cm)
     stamps = {}
     for k, (src, dst) in enumerate(pairs):
-        eng.put(src, dst, CATEGORY_SOLVE, {"k": float(k)})
-        stamps[float(k)] = eng.clocks[src] + latency
+        # alternate slot kinds so both mailboxes of an edge see traffic
+        sid = 2 * ap.plane.edge_index[(src, dst)] + k % 2
+        ap.send(src, np.array([sid]), float(k), 0.0, 8, CATEGORY_SOLVE)
+        stamps[sid] = float(ap.deliver_at[sid])   # latest put wins
     seen = []
     for p in range(4):
-        # before advancing: nothing earlier than its stamp is readable
-        for msg in eng.read(p):
-            assert stamps[msg.payload["k"]] <= eng.clocks[p]
-            seen.append(msg.payload["k"])
-    # advance everyone far enough and read the rest
+        # before advancing: nothing later than the clock is readable
+        for sid in ap.deliver(p):
+            assert stamps[sid] <= ap.clocks[p]
+            seen.append(sid)
+    # advance everyone far enough and read the rest, in stamp order
     for p in range(4):
-        eng.charge_idle(p, 1e6)
-        last_per_sender: dict[int, float] = {}
-        for msg in eng.read(p):
-            k = msg.payload["k"]
-            seen.append(k)
-            if msg.src in last_per_sender:
-                assert k > last_per_sender[msg.src]
-            last_per_sender[msg.src] = k
-    assert sorted(seen) == [float(k) for k in range(len(pairs))]
+        ap.advance_idle(p, 1e6)
+        got = ap.deliver(p)
+        assert [stamps[s] for s in got] == sorted(stamps[s] for s in got)
+        seen.extend(got)
+    assert sorted(seen) == sorted(stamps)          # each slot exactly once
+    assert ap.in_flight == 0
+    assert ap.stats.total_receives == len(stamps)
 
 
 @given(st.lists(st.floats(0.1, 10.0), min_size=2, max_size=6))
 @settings(max_examples=30, deadline=None)
 def test_async_scheduler_is_min_clock(advances):
     n = len(advances)
-    eng = AsyncEngine(n)
+    ap = async_plane(n)
     order = []
     for adv in sorted(advances):
-        p = eng.next_process()
-        order.append(float(eng.clocks[p]))
-        eng.charge_idle(p, adv)
-        eng.reschedule(p)
+        p = ap.next_process()
+        order.append(float(ap.clocks[p]))
+        ap.advance_idle(p, adv)
+        ap.reschedule(p)
     # the clock values handed out are non-decreasing
     assert order == sorted(order)
